@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 
+	"cstf/internal/par"
 	"cstf/internal/rng"
 )
 
@@ -451,6 +452,7 @@ func (c *Cluster) Parallel(n int, fn func(i int)) {
 		return
 	}
 	var wg sync.WaitGroup
+	var pc par.PanicCatcher
 	wg.Add(n)
 	for i := 0; i < n; i++ {
 		tok := <-c.pool
@@ -459,8 +461,10 @@ func (c *Cluster) Parallel(n int, fn func(i int)) {
 				c.pool <- tok
 				wg.Done()
 			}()
+			defer pc.Catch()
 			fn(i)
 		}(i, tok)
 	}
 	wg.Wait()
+	pc.Repanic()
 }

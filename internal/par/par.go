@@ -13,7 +13,9 @@
 package par
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -48,6 +50,7 @@ func Run(workers, tasks int, fn func(task int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var pc PanicCatcher
 	body := func() {
 		for {
 			t := int(next.Add(1)) - 1
@@ -61,11 +64,55 @@ func Run(workers, tasks int, fn func(task int)) {
 	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer pc.Catch()
 			body()
 		}()
 	}
-	body()
+	func() {
+		defer pc.Catch()
+		body()
+	}()
 	wg.Wait()
+	pc.Repanic()
+}
+
+// WorkerPanic is the value re-panicked on the calling goroutine when a
+// worker goroutine panicked: the worker's original panic value and the
+// stack it panicked on.
+type WorkerPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *WorkerPanic) Error() string {
+	return fmt.Sprintf("panic in worker goroutine: %v\n\n%s", p.Value, p.Stack)
+}
+
+// PanicCatcher carries the first panic of a group of worker goroutines back
+// to the goroutine that waits for them, so a failing worker surfaces where
+// its caller can recover it instead of killing the process. Every worker
+// defers Catch; after the group's Wait the caller invokes Repanic. The zero
+// value is ready to use.
+type PanicCatcher struct {
+	once sync.Once
+	p    *WorkerPanic
+}
+
+// Catch records the panic of the calling goroutine, if any. It must be
+// deferred directly by the worker goroutine.
+func (c *PanicCatcher) Catch() {
+	if r := recover(); r != nil {
+		stack := debug.Stack()
+		c.once.Do(func() { c.p = &WorkerPanic{Value: r, Stack: stack} })
+	}
+}
+
+// Repanic re-raises the first recorded panic as a *WorkerPanic. Call it
+// after every worker has finished; it does nothing when none panicked.
+func (c *PanicCatcher) Repanic() {
+	if c.p != nil {
+		panic(c.p)
+	}
 }
 
 // BlockSize is the row granularity of every blocked reduction in this

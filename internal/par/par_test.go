@@ -71,3 +71,24 @@ func TestSumBlocksDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// A panic on a spawned worker goroutine must reach the caller's recover,
+// carrying the original value, instead of killing the process.
+func TestRunWorkerPanicReachesCaller(t *testing.T) {
+	const boom = "boom"
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		// Every task panics and a goroutine stops at its first panic, so
+		// the calling goroutine runs at most one task: the three spawned
+		// workers claim tasks too, and each of them panics.
+		Run(4, 8, func(int) { panic(boom) })
+	}()
+	wp, ok := got.(*WorkerPanic)
+	if !ok {
+		t.Fatalf("recover() = %#v, want *WorkerPanic", got)
+	}
+	if wp.Value != boom || len(wp.Stack) == 0 {
+		t.Fatalf("worker panic value %v (stack %d bytes), want %q with a stack", wp.Value, len(wp.Stack), boom)
+	}
+}
