@@ -82,10 +82,7 @@ func DecomposeResume(t *Tensor, path string, o Options) (*Decomposition, error) 
 // solve. With CheckpointEvery/CheckpointPath still set, the resumed run
 // keeps checkpointing (typically over the same file).
 func DecomposeResumeContext(ctx context.Context, t *Tensor, path string, o Options) (*Decomposition, error) {
-	o, err := o.normalize()
-	if err != nil {
-		return nil, err
-	}
+	o = o.withDefaults()
 	cp, err := ckpt.Read(path)
 	if err != nil {
 		return nil, err

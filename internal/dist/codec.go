@@ -118,13 +118,12 @@ func appendDense(b []byte, m *la.Dense) []byte {
 	return b
 }
 
-// appendOptDense encodes a presence byte then the matrix when non-nil.
-func appendOptDense(b []byte, m *la.Dense) []byte {
-	if m == nil {
-		return appendU8(b, 0)
+// appendBool encodes a flag byte.
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return appendU8(b, 1)
 	}
-	b = appendU8(b, 1)
-	return appendDense(b, m)
+	return appendU8(b, 0)
 }
 
 // --- sticky-error decoder ---
@@ -244,15 +243,15 @@ func (d *dec) dense() *la.Dense {
 	return m
 }
 
-func (d *dec) optDense() *la.Dense {
+func (d *dec) flag() bool {
 	switch d.u8() {
 	case 0:
-		return nil
+		return false
 	case 1:
-		return d.dense()
+		return true
 	default:
-		d.fail("invalid presence byte")
-		return nil
+		d.fail("invalid flag byte")
+		return false
 	}
 }
 
@@ -332,6 +331,7 @@ func DecodeHello(b []byte) (*Hello, error) {
 func EncodeShard(s *Shard) []byte {
 	b := appendU8(nil, uint8(s.Mode))
 	b = appendU8(b, uint8(s.Order))
+	b = appendBool(b, s.Sampled)
 	b = appendU32(b, uint32(s.RowLo))
 	b = appendU32(b, uint32(s.RowHi))
 	b = appendU32(b, uint32(len(s.Entries)))
@@ -368,10 +368,11 @@ func EncodeShard(s *Shard) []byte {
 func DecodeShard(b []byte) (*Shard, error) {
 	d := &dec{b: b}
 	s := &Shard{
-		Mode:  int(d.u8()),
-		Order: int(d.u8()),
-		RowLo: int(d.u32()),
-		RowHi: int(d.u32()),
+		Mode:    int(d.u8()),
+		Order:   int(d.u8()),
+		Sampled: d.flag(),
+		RowLo:   int(d.u32()),
+		RowHi:   int(d.u32()),
 	}
 	if d.err == nil && (s.Order < 1 || s.Order > tensor.MaxOrder) {
 		d.fail(fmt.Sprintf("order %d out of range [1,%d]", s.Order, tensor.MaxOrder))
@@ -492,14 +493,7 @@ func EncodeTask(t *Task) []byte {
 	b = appendU8(b, uint8(t.Mode))
 	b = appendU32(b, uint32(t.RowLo))
 	b = appendU32(b, uint32(t.RowHi))
-	b = appendU32(b, uint32(t.BlockLo))
-	b = appendU32(b, uint32(t.BlockHi))
-	b = appendOptDense(b, t.Pinv)
-	b = appendU32(b, uint32(len(t.Lambda)))
-	for _, v := range t.Lambda {
-		b = appendF64(b, v)
-	}
-	return appendOptDense(b, t.MRows)
+	return appendBool(b, t.Sampled)
 }
 
 // DecodeTask parses a task descriptor.
@@ -511,24 +505,14 @@ func DecodeTask(b []byte) (*Task, error) {
 		Mode:    int(d.u8()),
 		RowLo:   int(d.u32()),
 		RowHi:   int(d.u32()),
-		BlockLo: int(d.u32()),
-		BlockHi: int(d.u32()),
+		Sampled: d.flag(),
 	}
-	if d.err == nil && (t.Kind < TaskPartialMTTKRP || t.Kind > TaskFitPartial) {
+	if d.err == nil && t.Kind != TaskPartialMTTKRP {
 		d.fail(fmt.Sprintf("unknown task kind %d", uint8(t.Kind)))
 	}
-	if d.err == nil && (t.RowHi < t.RowLo || t.BlockHi < t.BlockLo) {
+	if d.err == nil && t.RowHi < t.RowLo {
 		d.fail("inverted task range")
 	}
-	t.Pinv = d.optDense()
-	n := d.count(d.u32(), 8, "lambda")
-	if n > 0 {
-		t.Lambda = make([]float64, n)
-		for i := range t.Lambda {
-			t.Lambda[i] = d.f64()
-		}
-	}
-	t.MRows = d.optDense()
 	if err := d.done(); err != nil {
 		return nil, err
 	}
@@ -540,46 +524,21 @@ func EncodeResult(r *Result) []byte {
 	b := appendU64(nil, r.ID)
 	b = appendU8(b, uint8(r.Kind))
 	b = appendU32(b, uint32(r.RowLo))
-	b = appendU32(b, uint32(r.BlockLo))
-	b = appendOptDense(b, r.Rows)
-	b = appendU32(b, uint32(len(r.Grams)))
-	for _, g := range r.Grams {
-		b = appendDense(b, g)
-	}
-	b = appendU32(b, uint32(len(r.Partials)))
-	for _, v := range r.Partials {
-		b = appendF64(b, v)
-	}
-	return b
+	return appendDense(b, r.Rows)
 }
 
 // DecodeResult parses a task result.
 func DecodeResult(b []byte) (*Result, error) {
 	d := &dec{b: b}
 	r := &Result{
-		ID:      d.u64(),
-		Kind:    TaskKind(d.u8()),
-		RowLo:   int(d.u32()),
-		BlockLo: int(d.u32()),
+		ID:    d.u64(),
+		Kind:  TaskKind(d.u8()),
+		RowLo: int(d.u32()),
 	}
-	if d.err == nil && (r.Kind < TaskPartialMTTKRP || r.Kind > TaskFitPartial) {
+	if d.err == nil && r.Kind != TaskPartialMTTKRP {
 		d.fail(fmt.Sprintf("unknown task kind %d", uint8(r.Kind)))
 	}
-	r.Rows = d.optDense()
-	ng := d.count(d.u32(), 8, "gram block") // 8 bytes is the header floor per matrix
-	if ng > 0 {
-		r.Grams = make([]*la.Dense, 0, ng)
-		for i := 0; i < ng; i++ {
-			r.Grams = append(r.Grams, d.dense())
-		}
-	}
-	np := d.count(d.u32(), 8, "fit partial")
-	if np > 0 {
-		r.Partials = make([]float64, np)
-		for i := range r.Partials {
-			r.Partials[i] = d.f64()
-		}
-	}
+	r.Rows = d.dense()
 	if err := d.done(); err != nil {
 		return nil, err
 	}

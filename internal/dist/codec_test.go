@@ -3,7 +3,6 @@ package dist
 import (
 	"bytes"
 	"errors"
-	"math"
 	"reflect"
 	"testing"
 
@@ -56,12 +55,15 @@ func TestCodecRoundTrips(t *testing.T) {
 		t.Fatalf("factor delta round trip: got %+v, err %v", got, err)
 	}
 
+	sampled := testShard()
+	sampled.Sampled = true
+	if got, err := DecodeShard(EncodeShard(sampled)); err != nil || !reflect.DeepEqual(got, sampled) {
+		t.Fatalf("sampled shard round trip: got %+v, err %v", got, err)
+	}
+
 	tasks := []*Task{
 		{ID: 7, Kind: TaskPartialMTTKRP, Mode: 1, RowLo: 3, RowHi: 9},
-		{ID: 8, Kind: TaskGram, Mode: 0, BlockLo: 2, BlockHi: 5},
-		{ID: 9, Kind: TaskRowSolve, Mode: 2, RowLo: 0, RowHi: 4, Pinv: denseOf(3, 3, -1)},
-		{ID: 10, Kind: TaskRowSolve, Mode: 2, RowLo: 0, RowHi: 4, Pinv: denseOf(3, 3, 2), MRows: denseOf(4, 3, 0.5)},
-		{ID: 11, Kind: TaskFitPartial, Mode: 2, BlockLo: 0, BlockHi: 2, Lambda: []float64{1, 2.5, math.Pi}, MRows: denseOf(6, 3, 3)},
+		{ID: 8, Kind: TaskPartialMTTKRP, Mode: 2, RowLo: 0, RowHi: 4, Sampled: true},
 	}
 	for _, task := range tasks {
 		got, err := DecodeTask(EncodeTask(task))
@@ -72,8 +74,7 @@ func TestCodecRoundTrips(t *testing.T) {
 
 	results := []*Result{
 		{ID: 7, Kind: TaskPartialMTTKRP, RowLo: 3, Rows: denseOf(6, 5, 0)},
-		{ID: 8, Kind: TaskGram, BlockLo: 2, Grams: []*la.Dense{denseOf(3, 3, 0), denseOf(3, 3, 9)}},
-		{ID: 11, Kind: TaskFitPartial, BlockLo: 0, Partials: []float64{1.5, -2.25}},
+		{ID: 8, Kind: TaskPartialMTTKRP, RowLo: 0, Rows: denseOf(0, 5, 0)},
 	}
 	for _, r := range results {
 		got, err := DecodeResult(EncodeResult(r))
@@ -127,28 +128,29 @@ func TestCodecRejectsMalformedInput(t *testing.T) {
 	// Corrupt the entry count upward: count validation must catch it
 	// before any allocation.
 	corrupt := append([]byte{}, full...)
-	corrupt[10] = 0xFF // high byte of the u32 entry count at offset 10
+	corrupt[11] = 0xFF // high byte of the u32 entry count at offset 11
 	_, err = DecodeShard(corrupt)
 	wantDecodeError(t, "inflated count", err)
 
-	// A row-group delta that lands outside [RowLo, RowHi): offset 14 is the
+	// A row-group delta that lands outside [RowLo, RowHi): offset 15 is the
 	// first group's row-delta varint (1 for row 4); 0x3F would mean row 66.
 	corrupt = append([]byte{}, full...)
-	corrupt[14] = 0x3F
+	corrupt[15] = 0x3F
 	_, err = DecodeShard(corrupt)
 	wantDecodeError(t, "out-of-range row group", err)
 
-	// Inverted task range and unknown kind.
-	_, err = DecodeTask(EncodeTask(&Task{ID: 1, Kind: TaskGram, BlockLo: 5, BlockHi: 2}))
+	// Inverted task range, unknown kinds (including the task kinds of
+	// protocol v3, which v4 dropped) and a bad flag byte.
+	_, err = DecodeTask(EncodeTask(&Task{ID: 1, Kind: TaskPartialMTTKRP, RowLo: 5, RowHi: 2}))
 	wantDecodeError(t, "inverted range", err)
-	_, err = DecodeTask(EncodeTask(&Task{ID: 1, Kind: TaskKind(200)}))
-	wantDecodeError(t, "unknown kind", err)
-
-	// Bad dense presence byte.
-	raw := EncodeTask(&Task{ID: 1, Kind: TaskGram, BlockLo: 0, BlockHi: 1})
-	raw[26] = 7 // pinv presence byte
+	for _, k := range []TaskKind{0, 2, 3, 4, 200} {
+		_, err = DecodeTask(EncodeTask(&Task{ID: 1, Kind: k}))
+		wantDecodeError(t, "unknown kind", err)
+	}
+	raw := EncodeTask(&Task{ID: 1, Kind: TaskPartialMTTKRP, RowLo: 0, RowHi: 1})
+	raw[18] = 7 // sampled flag byte
 	_, err = DecodeTask(raw)
-	wantDecodeError(t, "presence byte", err)
+	wantDecodeError(t, "flag byte", err)
 
 	// Hello with order beyond MaxOrder (byte 3: version u16, flags u8, order).
 	h := EncodeHello(&Hello{Version: 1, Order: 3, Rank: 2, Dims: []int{2, 2, 2}})
@@ -222,9 +224,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add(uint8(MsgShard), EncodeShard(testShard()))
 	f.Add(uint8(MsgFactor), EncodeFactor(&Factor{Mode: 1, M: denseOf(3, 2, 0)}))
 	f.Add(uint8(MsgFactorDelta), EncodeFactorDelta(&FactorDelta{Mode: 0, Cols: 2, Indices: []int{1, 2}, Rows: []float64{1, 2, 3, 4}}))
-	f.Add(uint8(MsgTask), EncodeTask(&Task{ID: 3, Kind: TaskRowSolve, RowLo: 1, RowHi: 4, Pinv: denseOf(2, 2, 1)}))
-	f.Add(uint8(MsgTask), EncodeTask(&Task{ID: 4, Kind: TaskFitPartial, BlockLo: 0, BlockHi: 1, Lambda: []float64{1, 2}, MRows: denseOf(2, 2, 0)}))
-	f.Add(uint8(MsgResult), EncodeResult(&Result{ID: 3, Kind: TaskGram, Grams: []*la.Dense{denseOf(2, 2, 0)}}))
+	f.Add(uint8(MsgTask), EncodeTask(&Task{ID: 3, Kind: TaskPartialMTTKRP, RowLo: 1, RowHi: 4}))
+	f.Add(uint8(MsgTask), EncodeTask(&Task{ID: 4, Kind: TaskPartialMTTKRP, RowLo: 0, RowHi: 1, Sampled: true}))
+	f.Add(uint8(MsgResult), EncodeResult(&Result{ID: 3, Kind: TaskPartialMTTKRP, RowLo: 1, Rows: denseOf(3, 2, 0)}))
 	f.Add(uint8(MsgErr), EncodeErr(&RemoteError{TaskID: 9, Msg: "boom"}))
 	f.Add(uint8(MsgPing), EncodeSeq(77))
 	f.Add(uint8(0), []byte{})

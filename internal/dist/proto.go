@@ -1,43 +1,44 @@
 // Package dist is the real distributed runtime: a coordinator/worker
-// system that executes CP-ALS stages across OS processes over TCP. It is
+// system that executes CP-ALS MTTKRPs across OS processes over TCP. It is
 // the first execution path in this repository that moves actual bytes over
 // actual sockets — everything in internal/cluster remains a cost model.
 //
-// There is no closure shipping. The protocol has a fixed task vocabulary —
-// PartialMTTKRP, Gram, RowSolve, FitPartial — mirroring the observation
-// (DFacTo, SpDISTAL) that the distributed MTTKRP decomposes into a small
-// set of shippable stages. The coordinator partitions the tensor once per
-// mode with tensor.ModeIndex row partitioning, ships nonzero shards at
-// session start, ships each updated factor per mode-iteration as a delta
-// of the rows that changed AND that the receiving worker's shards touch
-// (full matrices only at session start and on resync), and reduces partial
-// grams/MTTKRPs in a fixed order, so the factorization is bitwise
-// identical to the single-process cpals.Solve for every worker count and
-// every task placement (including after worker deaths):
+// Dist is a place where MTTKRPs run, not a separate solver: the fleet is a
+// cpals.Backend for the shared sweep engine, so every row-update policy
+// (exact least squares, sampled least squares, NNLS) runs on it unchanged.
+// MTTKRP is the only stage whose cost grows with nnz; the R x R gram
+// Hadamard, the pseudo-inverse, the row updates, grams and the fit stay on
+// the coordinator and run the serial kernels, so they are bitwise equal to
+// a single-process run by construction.
 //
-//   - PartialMTTKRP output rows are disjoint between workers (the shards
-//     are cut at output-row boundaries), so "reduction" is assembly and
-//     each row's accumulation order is the shard's stable Perm order —
-//     exactly the per-row sequence of the shared-memory kernel.
-//   - Gram and FitPartial return one partial per par.BlockSize row block;
-//     the coordinator sums partials in global block order, the identical
-//     summation tree la.GramParallel and par.SumBlocks use.
-//   - RowSolve and factor normalization are elementwise / per-row.
+// There is no closure shipping. The protocol has one task kind,
+// PartialMTTKRP. The coordinator partitions the tensor once per mode with
+// tensor.ModeIndex row partitioning, ships each worker its nonzero shards
+// (and, for sampled ALS, each epoch's sampled shards cut on the same row
+// ranges), and ships each updated factor per mode update as a delta of the
+// rows that changed AND that the receiving worker's shards touch (full
+// matrices only at session start and on resync). PartialMTTKRP output rows
+// are disjoint between workers — the shards are cut at output-row
+// boundaries — so "reduction" is assembly, and each row's accumulation
+// order is the shard's stable Perm order: exactly the per-row sequence of
+// the shared-memory kernel. The factorization is therefore bitwise
+// identical to the single-process solver for every worker count and every
+// task placement (including after worker deaths).
 //
 // Failure handling: the coordinator pings every worker; a missed-heartbeat
 // timeout, a checksum-failed frame, or any socket error marks the worker
 // dead, and its outstanding tasks are reassigned to survivors, re-sending
-// the needed shard or MTTKRP rows from the coordinator's resident copy —
-// and a full-factor resync for any factor the substitute holds stale,
-// never a delta against state it was not sent. A dead worker is not gone
-// for good: a background rejoin loop redials its address with exponential
+// the needed shard from the coordinator's resident copy — and a
+// full-factor resync for any factor the substitute holds stale, never a
+// delta against state it was not sent. A dead worker is not gone for
+// good: a background rejoin loop redials its address with exponential
 // backoff + jitter and, when the worker answers the handshake again, it is
 // re-admitted mid-solve — shards re-ship lazily, factors resync in full —
 // and its home tasks route back to it. If the live fleet falls below
-// Config.MinWorkers, the coordinator degrades to a local solve from its
-// last iteration-boundary snapshot, bitwise identical to the distributed
-// result. A chaos.FaultPlan can kill real worker processes, sever
-// connections without killing (NetPartition), and corrupt outbound frames
+// Config.MinWorkers, the backend switches to coordinator-local MTTKRPs for
+// the rest of the run, bitwise identical to the distributed result. A
+// chaos.FaultPlan can kill real worker processes, sever connections
+// without killing (NetPartition), and corrupt outbound frames
 // (FrameCorrupt) at stage boundaries, driving the same recovery paths the
 // simulator models.
 package dist
@@ -50,11 +51,12 @@ import (
 )
 
 // ProtocolVersion is bumped on any wire-format change. Hello carries it;
-// a mismatch aborts the handshake with a typed error. Version 2 added
+// a mismatch aborts the handshake with a *VersionError. Version 2 added
 // FactorDelta frames, the row-grouped varint shard encoding, and the Hello
 // flags byte. Version 3 widened the frame header with a CRC32-C over the
-// type byte and payload.
-const ProtocolVersion = 3
+// type byte and payload. Version 4 dropped every task kind but
+// PartialMTTKRP and added the sampled flag to shards and tasks.
+const ProtocolVersion = 4
 
 // MsgType identifies a protocol frame.
 type MsgType uint8
@@ -103,39 +105,19 @@ func (t MsgType) String() string {
 	}
 }
 
-// TaskKind enumerates the fixed task vocabulary.
+// TaskKind enumerates the task vocabulary.
 type TaskKind uint8
 
-// The four shippable CP-ALS stages.
-const (
-	// TaskPartialMTTKRP computes the MTTKRP output rows [RowLo, RowHi) of
-	// one mode from the resident shard for that (mode, range).
-	TaskPartialMTTKRP TaskKind = iota + 1
-	// TaskGram computes per-block partial gram matrices A^T A over the
-	// global row blocks [BlockLo, BlockHi) of the resident factor.
-	TaskGram
-	// TaskRowSolve applies the pseudo-inverse of the gram Hadamard to the
-	// MTTKRP rows [RowLo, RowHi): a_i = m_i * Pinv, row by row.
-	TaskRowSolve
-	// TaskFitPartial computes per-block partials of the <X, X_hat> inner
-	// product over the global row blocks [BlockLo, BlockHi) of the last
-	// mode's MTTKRP result.
-	TaskFitPartial
-)
+// TaskPartialMTTKRP computes the MTTKRP output rows [RowLo, RowHi) of one
+// mode from the resident shard for that (mode, range) — the full tensor's
+// shard, or the current sampled one. It is the only task kind.
+const TaskPartialMTTKRP TaskKind = 1
 
 func (k TaskKind) String() string {
-	switch k {
-	case TaskPartialMTTKRP:
+	if k == TaskPartialMTTKRP {
 		return "partial-mttkrp"
-	case TaskGram:
-		return "gram"
-	case TaskRowSolve:
-		return "row-solve"
-	case TaskFitPartial:
-		return "fit-partial"
-	default:
-		return fmt.Sprintf("task(%d)", uint8(k))
 	}
+	return fmt.Sprintf("task(%d)", uint8(k))
 }
 
 // Hello flag bits (Hello.Flags).
@@ -160,10 +142,14 @@ type Hello struct {
 // Shard is one worker's share of a mode's nonzeros: exactly the entries
 // whose Idx[Mode] falls in [RowLo, RowHi), in the stable ModeIndex Perm
 // order. Only the first Order indices of each entry are on the wire.
+// Sampled shards hold an epoch's importance-weighted sample instead of the
+// full tensor; a worker keeps one of each per (mode, row range), and a new
+// epoch's sampled shard replaces the previous one.
 type Shard struct {
 	Mode         int
 	Order        int
 	RowLo, RowHi int
+	Sampled      bool
 	Entries      []tensor.Entry
 }
 
@@ -186,49 +172,42 @@ type FactorDelta struct {
 	Rows    []float64 // len(Indices)*Cols, row-major
 }
 
-// Task is one task descriptor. Which fields are meaningful depends on
-// Kind; optional payloads (Pinv, Lambda, MRows) are presence-flagged on
-// the wire.
+// Task is one PartialMTTKRP descriptor.
 type Task struct {
-	ID   uint64
-	Kind TaskKind
-	Mode int
-
-	// Row range (PartialMTTKRP, RowSolve).
+	ID           uint64
+	Kind         TaskKind
+	Mode         int
 	RowLo, RowHi int
-
-	// Global par.BlockSize block range (Gram, FitPartial).
-	BlockLo, BlockHi int
-
-	// Pinv is the R x R pseudo-inverse of the gram Hadamard (RowSolve).
-	Pinv *la.Dense
-
-	// Lambda is the column-weight vector (FitPartial).
-	Lambda []float64
-
-	// MRows carries MTTKRP output rows the executing worker does not hold:
-	// always for FitPartial (fit blocks do not align with MTTKRP ranges),
-	// and for RowSolve only when the task was reassigned to a worker other
-	// than the one that produced the rows.
-	MRows *la.Dense
+	Sampled      bool // run over the resident sampled shard, not the full one
 }
 
-// Result is a completed task's payload.
+// Result is a completed task's payload: the MTTKRP output rows
+// [RowLo, RowLo+Rows.Rows).
 type Result struct {
-	ID   uint64
-	Kind TaskKind
-
-	// RowLo echoes the task's row range start (PartialMTTKRP, RowSolve).
+	ID    uint64
+	Kind  TaskKind
 	RowLo int
-	// Rows are the computed output rows (PartialMTTKRP, RowSolve).
-	Rows *la.Dense
+	Rows  *la.Dense
+}
 
-	// BlockLo echoes the task's block range start (Gram, FitPartial).
-	BlockLo int
-	// Grams holds one R x R partial per block (Gram).
-	Grams []*la.Dense
-	// Partials holds one scalar partial per block (FitPartial).
-	Partials []float64
+// VersionError reports a handshake between peers of different protocol
+// versions. Workers refuse a foreign coordinator with this error's text,
+// which is also what workers of earlier versions send.
+type VersionError struct {
+	Coordinator, Worker uint16
+}
+
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("protocol version mismatch: coordinator %d, worker %d", e.Coordinator, e.Worker)
+}
+
+// parseVersionError recognizes a worker's handshake refusal text.
+func parseVersionError(msg string) (*VersionError, bool) {
+	var e VersionError
+	if n, _ := fmt.Sscanf(msg, "protocol version mismatch: coordinator %d, worker %d", &e.Coordinator, &e.Worker); n == 2 {
+		return &e, true
+	}
+	return nil, false
 }
 
 // RemoteError is a task failure reported by a worker over the wire (as

@@ -19,15 +19,14 @@ func TestDistBenchSmall(t *testing.T) {
 		Iters:      3,
 		WorkerSets: []int{1, 2},
 		CSF:        true,
-		DeltaAB:    true,
 		Chaos:      true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// serial coo + serial csf + (delta, full) x {1,2} workers + chaos row.
-	if len(rep.Rows) != 7 {
-		t.Fatalf("want 7 rows, got %d: %+v", len(rep.Rows), rep.Rows)
+	// serial coo + serial csf + {1,2} workers + chaos row.
+	if len(rep.Rows) != 5 {
+		t.Fatalf("want 5 rows, got %d: %+v", len(rep.Rows), rep.Rows)
 	}
 	if !rep.AllExact {
 		t.Fatalf("distributed runs diverged from serial: %+v", rep.Rows)
@@ -55,9 +54,9 @@ func TestDistBenchSmall(t *testing.T) {
 		if row.WallMs <= 0 {
 			t.Fatalf("worker row missing wall time: %+v", row)
 		}
-		if !row.DeltaBroadcast && row.WireDeltaFrames != 0 {
-			t.Fatalf("full-broadcast row reported delta frames: %+v", row)
-		}
+	}
+	if rep.FactorWireReduction <= 0 {
+		t.Fatalf("factor-wire reduction vs full broadcasts not reported: %+v", rep)
 	}
 	var buf bytes.Buffer
 	full := &DistBenchReport{Compute: rep, AllExact: rep.AllExact}

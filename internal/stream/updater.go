@@ -316,6 +316,16 @@ func (u *Updater) FullSweep(iters int) (float64, error) {
 		iters = 1
 	}
 	u.sweeps++
+	opts := cpals.Options{
+		Rank:        u.rank,
+		MaxIters:    iters,
+		Seed:        u.seed,
+		Parallelism: u.workers,
+		InitFactors: u.factors,
+		InitLambda:  u.lambda,
+	}
+	var res *cpals.Result
+	var err error
 	if s := u.sampling; s != nil {
 		frac, count := s.SampleFraction, s.SampleCount
 		if frac == 0 && count == 0 {
@@ -324,34 +334,18 @@ func (u *Updater) FullSweep(iters int) (float64, error) {
 		// Each sweep gets its own sampler stream: rals keys draws by
 		// (seed, epoch, mode), and every sweep restarts at epoch 0, so an
 		// unmixed seed would replay one sweep's sample pattern forever.
-		res, err := rals.Solve(u.t, rals.Options{
-			Rank:             u.rank,
-			MaxIters:         iters,
-			Seed:             u.seed ^ (uint64(u.sweeps) * 0x9E3779B97F4A7C15),
-			Parallelism:      u.workers,
+		opts.Seed ^= uint64(u.sweeps) * 0x9E3779B97F4A7C15
+		res, err = rals.Solve(u.t, rals.Options{
+			Options:          opts,
 			SampleFraction:   frac,
 			SampleCount:      count,
 			ResampleEvery:    s.ResampleEvery,
 			ExactFinishIters: s.ExactFinishIters,
 			FinalFitOnly:     true,
-			InitFactors:      u.factors,
-			InitLambda:       u.lambda,
 		})
-		if err != nil {
-			return 0, fmt.Errorf("stream: sampled sweep: %w", err)
-		}
-		u.factors = res.Factors
-		u.lambda = res.Lambda
-		return res.Fit(), nil
+	} else {
+		res, err = cpals.Solve(u.t, opts)
 	}
-	res, err := cpals.Solve(u.t, cpals.Options{
-		Rank:        u.rank,
-		MaxIters:    iters,
-		Seed:        u.seed,
-		Parallelism: u.workers,
-		InitFactors: u.factors,
-		InitLambda:  u.lambda,
-	})
 	if err != nil {
 		return 0, fmt.Errorf("stream: full sweep: %w", err)
 	}
