@@ -7,9 +7,9 @@ GO ?= go
 # paths: these also run under the race detector in `make ci`.
 RACE_PKGS := ./internal/cpals ./internal/la ./internal/par ./internal/tensor ./internal/rdd ./internal/cluster ./internal/chaos ./internal/mapreduce ./internal/core ./internal/serve ./internal/stream ./internal/dist ./internal/fleet ./internal/rals ./internal/ntf ./internal/rank
 
-.PHONY: ci fmt vet staticcheck check-deprecated build test race bench stream-smoke dist-smoke dist-chaos-smoke fleet-smoke rals-smoke recsys-smoke
+.PHONY: ci fmt vet staticcheck build test race perfbench bench stream-smoke dist-smoke dist-chaos-smoke fleet-smoke rals-smoke recsys-smoke
 
-ci: fmt vet staticcheck check-deprecated build test race
+ci: fmt vet staticcheck build test race perfbench
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -35,6 +35,11 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
+# The benchmark is its own module (perfbench/go.mod), so `go test ./...`
+# at the root does not compile it; vet and test it against this checkout.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 bench:
 	$(GO) test -bench=. -benchmem .
 
@@ -47,9 +52,8 @@ stream-smoke:
 		-windows 3 -window 200 -full-sweep-every 2 -grow-every 150
 
 # End-to-end distributed smoke under the race detector: fork three real
-# cstf-worker processes and run a small decomposition over TCP — once with
-# the communication plan on (delta broadcasts + pipelined reduce, the
-# default) and once with both disabled, so the A/B paths both stay green.
+# cstf-worker processes and run a small decomposition over TCP — exact
+# CP-ALS, then nonnegative CP with its MTTKRPs on the same kind of fleet.
 dist-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -race -o "$$tmp/cstf-worker" ./cmd/cstf-worker && \
@@ -57,8 +61,7 @@ dist-smoke:
 	CSTF_WORKER_BIN="$$tmp/cstf-worker" $(GO) run -race ./cmd/cstf \
 		-in "$$tmp/t.tns" -dist-local 3 -rank 3 -iters 3 -tol 0 && \
 	CSTF_WORKER_BIN="$$tmp/cstf-worker" $(GO) run -race ./cmd/cstf \
-		-in "$$tmp/t.tns" -dist-local 3 -rank 3 -iters 3 -tol 0 \
-		-dist-no-delta -dist-no-pipeline
+		-in "$$tmp/t.tns" -algo ncp -dist-local 3 -rank 3 -iters 3 -tol 0
 
 # End-to-end fault-recovery smoke under the race detector: forked workers
 # survive an injected partition plus a corrupted frame mid-solve, then a
@@ -117,14 +120,3 @@ recsys-smoke:
 		-rank 3 -iters 6 -tol 0 -ntf-inner 2 \
 		-checkpoint "$$tmp/m.ckpt" -resume && \
 	$(GO) test -race -run TestRecsysBenchSmall ./internal/experiments
-
-# The flat DistAddrs/DistLocalWorkers/DistWorkerBin fields are deprecated
-# aliases for Options.Dist; they may appear only in decompose.go (the alias
-# mapping) and its test. Fails on any new use.
-check-deprecated:
-	@out=$$(grep -rn --include='*.go' \
-		--exclude='decompose.go' --exclude='decompose_test.go' \
-		-e 'DistAddrs' -e 'DistLocalWorkers' -e 'DistWorkerBin' .); \
-	if [ -n "$$out" ]; then \
-		echo "deprecated flat dist fields used outside decompose.go (use Options.Dist):"; \
-		echo "$$out"; exit 1; fi
