@@ -2,6 +2,7 @@ package rdd
 
 import (
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"cstf/internal/cluster"
@@ -388,10 +389,11 @@ func TestAggregate(t *testing.T) {
 
 func TestForeach(t *testing.T) {
 	ctx := testCtx(1, 2)
-	var sum int
-	Foreach(FromSlice(ctx, "n", seq(10), intSize), func(x int) { sum += x })
-	if sum != 45 {
-		t.Fatalf("foreach sum %d", sum)
+	// f runs on the executors, one goroutine per partition.
+	var sum atomic.Int64
+	Foreach(FromSlice(ctx, "n", seq(10), intSize), func(x int) { sum.Add(int64(x)) })
+	if sum.Load() != 45 {
+		t.Fatalf("foreach sum %d", sum.Load())
 	}
 }
 
