@@ -8,6 +8,8 @@ func TestFaultsBenchShrunk(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins up TCP worker fleets")
 	}
+	// 24 iterations (72 MTTKRP stages) leave the frame-corrupt scenario's
+	// worker time to rejoin inside the run.
 	cfg := FaultsBenchConfig{
 		Dims:      []int{60, 50, 40},
 		NNZ:       4000,
@@ -15,7 +17,7 @@ func TestFaultsBenchShrunk(t *testing.T) {
 		Rank:      4,
 		Noise:     0.05,
 		GenSeed:   17,
-		Iters:     8,
+		Iters:     24,
 		Workers:   2,
 		KillAfter: 4,
 		Dir:       t.TempDir(),
