@@ -7,9 +7,9 @@ GO ?= go
 # paths: these also run under the race detector in `make ci`.
 RACE_PKGS := ./internal/cpals ./internal/la ./internal/par ./internal/tensor ./internal/rdd ./internal/cluster ./internal/chaos ./internal/mapreduce ./internal/core ./internal/serve ./internal/stream ./internal/dist ./internal/fleet ./internal/rals ./internal/ntf ./internal/rank
 
-.PHONY: ci fmt vet staticcheck build test race perfbench bench stream-smoke dist-smoke dist-chaos-smoke fleet-smoke rals-smoke recsys-smoke
+.PHONY: ci fmt vet staticcheck build test shuffle race perfbench bench stream-smoke dist-smoke dist-chaos-smoke fleet-smoke rals-smoke recsys-smoke
 
-ci: fmt vet staticcheck build test race perfbench
+ci: fmt vet staticcheck build test shuffle race perfbench
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -31,6 +31,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The dist tests twice, in a random order each time: a test that passes
+# only after (or before) another one fails here. The package's TestMain
+# also fails it when goroutines outlive the tests.
+shuffle:
+	$(GO) test -count=2 -shuffle=on ./internal/dist/...
 
 race:
 	$(GO) test -race $(RACE_PKGS)

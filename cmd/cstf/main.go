@@ -40,7 +40,6 @@ func main() {
 	distAddrs := flag.String("dist", "", "comma-separated cstf-worker addresses to run MTTKRPs on; implies -algo dist unless -algo is rals or ncp")
 	distLocal := flag.Int("dist-local", 0, "launch N local workers to run MTTKRPs on; implies -algo dist unless -algo is rals or ncp")
 	distBin := flag.String("dist-worker-bin", "", "cstf-worker binary for -dist-local (default: $CSTF_WORKER_BIN, next to cstf, or $PATH; in-process fallback)")
-	distCSF := flag.Bool("dist-csf", false, "run worker MTTKRPs with the SPLATT CSF kernel (algo dist only; bitwise-matches the serial CSF solver, not the COO one)")
 	distMinWorkers := flag.Int("dist-min-workers", 0, "live-worker floor before degrading to coordinator-local MTTKRPs (0 = 1; negative makes fleet collapse a hard error)")
 	ralsFrac := flag.Float64("rals-frac", 0, "rals: sample this fraction of the nonzeros per mode update (0 with -rals-count unset = 0.1)")
 	ralsCount := flag.Int("rals-count", 0, "rals: sample a fixed number of nonzeros per mode update (overrides -rals-frac)")
@@ -112,7 +111,6 @@ func main() {
 		}
 		o.Dist.LocalWorkers = *distLocal
 		o.Dist.WorkerBin = *distBin
-		o.Dist.CSFKernel = *distCSF
 		o.Dist.MinWorkers = *distMinWorkers
 	}
 	o.RALS = cstf.RALSOptions{

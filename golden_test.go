@@ -48,7 +48,7 @@ type goldenEntry struct {
 // block-ordered reductions span several blocks at every worker count.
 func goldenTensor() *cstf.Tensor {
 	x := cstf.LowRankTensor(17, 4000, 3, 0.01, 9000, 50, 40)
-	x.Dedup() // the CSF kernel needs duplicate-free coordinates
+	x.Dedup() // the hashes were captured on the deduplicated tensor
 	return x
 }
 
@@ -115,6 +115,10 @@ type goldenCase struct {
 	opts    cstf.Options
 	workers []int // dist fleet sizes to run it on besides coordinator-only (nil: none)
 	local   bool  // also run it without a fleet
+	// internal runs the fleet sizes through dist.Solve with the COO
+	// kernel instead of the public API, whose dist algorithm always runs
+	// the CSF kernel.
+	internal bool
 }
 
 func goldenCases(nnz int) []goldenCase {
@@ -128,10 +132,9 @@ func goldenCases(nnz int) []goldenCase {
 	return []goldenCase{
 		{name: "serial", kernel: "coo", local: true,
 			opts: with(func(o *cstf.Options) { o.Algorithm = cstf.Serial })},
-		{name: "dist", kernel: "coo", workers: fleets,
-			opts: with(func(o *cstf.Options) { o.Algorithm = cstf.Dist })},
+		{name: "dist", kernel: "coo", workers: fleets, internal: true},
 		{name: "dist", kernel: "csf", workers: fleets,
-			opts: with(func(o *cstf.Options) { o.Algorithm = cstf.Dist; o.Dist.CSFKernel = true })},
+			opts: with(func(o *cstf.Options) { o.Algorithm = cstf.Dist })},
 		{name: "rals-sampled", kernel: "coo", local: true, workers: fleets,
 			opts: with(func(o *cstf.Options) {
 				o.Algorithm = cstf.RALS
@@ -195,14 +198,15 @@ func cancelAfter(cancel context.CancelFunc) func(int, float64) bool {
 	}
 }
 
-// serialCSFHash runs cpals.Solve with the CSF kernel, fresh or resumed
-// from the state its checkpoint hook saw at goldenHead. The serial CSF
-// kernel has no public switch, so this case drives the solver directly.
-func serialCSFHash(t *testing.T, x *cstf.Tensor, parallelism int, resumed bool) string {
+// internalHash runs solve with the given kernel through the solvers'
+// internal options, fresh or resumed from the state its checkpoint hook
+// saw at goldenHead. It covers the configurations the public API has no
+// switch for: the serial CSF solve, and the COO kernel on a dist fleet.
+func internalHash(t *testing.T, x *cstf.Tensor, csf bool, parallelism int, resumed bool, solve func(*tensor.COO, cpals.Options) (*cpals.Result, error)) string {
 	t.Helper()
 	coo := internalTensor(x)
 	opts := cpals.Options{Rank: goldenRank, MaxIters: goldenIters, Seed: 3,
-		Parallelism: parallelism, CSFKernel: true}
+		Parallelism: parallelism, CSFKernel: csf}
 	if resumed {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
@@ -220,18 +224,26 @@ func serialCSFHash(t *testing.T, x *cstf.Tensor, parallelism int, resumed bool) 
 			}
 			return nil
 		}
-		if _, err := cpals.Solve(coo, head); !errors.Is(err, context.Canceled) {
+		if _, err := solve(coo, head); !errors.Is(err, context.Canceled) {
 			t.Fatalf("head run: want context.Canceled, got %v", err)
 		}
 		if opts.StartIter != goldenHead {
 			t.Fatalf("checkpoint hook fired at %d, want %d", opts.StartIter, goldenHead)
 		}
 	}
-	res, err := cpals.Solve(coo, opts)
+	res, err := solve(coo, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return resultHash(res)
+}
+
+// distSolve is dist.Solve on the workers of cl.
+func distSolve(cl *dist.LocalCluster) func(*tensor.COO, cpals.Options) (*cpals.Result, error) {
+	return func(x *tensor.COO, o cpals.Options) (*cpals.Result, error) {
+		res, _, err := dist.Solve(x, o, cl.Config())
+		return res, err
+	}
 }
 
 // internalTensor copies a public tensor into the solver representation,
@@ -264,7 +276,7 @@ func TestGoldenHashes(t *testing.T) {
 
 	for _, p := range []int{1, 2} {
 		for _, resumed := range []bool{false, true} {
-			record("serial", "csf", fmt.Sprintf("P%d resumed=%v", p, resumed), serialCSFHash(t, x, p, resumed))
+			record("serial", "csf", fmt.Sprintf("P%d resumed=%v", p, resumed), internalHash(t, x, true, p, resumed, cpals.Solve))
 		}
 	}
 	for _, c := range goldenCases(x.NNZ()) {
@@ -280,8 +292,13 @@ func TestGoldenHashes(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					o.Dist.Addrs = cl.Addrs
-					h := runPublic(t, x, o, resumed)
+					var h string
+					if c.internal {
+						h = internalHash(t, x, false, p, resumed, distSolve(cl))
+					} else {
+						o.Dist.Addrs = cl.Addrs
+						h = runPublic(t, x, o, resumed)
+					}
 					cl.Close()
 					record(c.name, c.kernel, fmt.Sprintf("%d workers P%d resumed=%v", w, p, resumed), h)
 				}

@@ -3,9 +3,12 @@ package dist
 import (
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
+	"cstf/internal/cpals"
 	"cstf/internal/la"
 	"cstf/internal/tensor"
 )
@@ -139,6 +142,14 @@ func TestCodecRejectsMalformedInput(t *testing.T) {
 	_, err = DecodeShard(corrupt)
 	wantDecodeError(t, "out-of-range row group", err)
 
+	// A row-group delta of 0 repeats the previous group's row: offset 37
+	// is the second group's delta (15-byte header, then the first group:
+	// delta, count and two 10-byte entries).
+	corrupt = append([]byte{}, full...)
+	corrupt[37] = 0
+	_, err = DecodeShard(corrupt)
+	wantDecodeError(t, "repeated row group", err)
+
 	// Inverted task range, unknown kinds (including the task kinds of
 	// protocol v3, which v4 dropped) and a bad flag byte.
 	_, err = DecodeTask(EncodeTask(&Task{ID: 1, Kind: TaskPartialMTTKRP, RowLo: 5, RowHi: 2}))
@@ -236,6 +247,11 @@ func FuzzDecode(f *testing.F) {
 			DecodeHello(b)
 		case MsgShard:
 			DecodeShard(b)
+			// The worker's path: straight into a CSF tree, range-checked.
+			if r, err := newShardReader(b, []int{32, 16, 16}); err == nil {
+				buildShardTree(r, []int{32, 16, 16})
+				r.finish()
+			}
 		case MsgFactor:
 			DecodeFactor(b)
 		case MsgFactorDelta:
@@ -252,4 +268,89 @@ func FuzzDecode(f *testing.F) {
 		// Frame parsing must also be total on arbitrary bytes.
 		ReadFrame(bytes.NewReader(b))
 	})
+}
+
+// The coordinator encodes a shard straight from a ModeIndex permutation;
+// the bytes equal EncodeShard of the entries copied out in that order, and
+// fit the buffer shardSizeBound sizes.
+func TestAppendShardFromPermutation(t *testing.T) {
+	x := tensor.GenUniform(5, 400, 30, 20, 10)
+	for mode := 0; mode < x.Order(); mode++ {
+		mi := x.ModeIndex(mode)
+		for _, rg := range mi.Ranges(3) {
+			perm := mi.Perm[rg.Lo:rg.Hi]
+			sh := &Shard{Mode: mode, Order: x.Order(), RowLo: rg.RowLo, RowHi: rg.RowHi}
+			for _, p := range perm {
+				sh.Entries = append(sh.Entries, x.Entries[p])
+			}
+			bound := shardSizeBound(x.Dims, mode, rg.RowLo, rg.RowHi, len(perm))
+			got := appendShard(make([]byte, 0, bound), &Shard{Mode: mode, Order: x.Order(), RowLo: rg.RowLo, RowHi: rg.RowHi}, x.Entries, perm)
+			if want := EncodeShard(sh); !bytes.Equal(got, want) {
+				t.Fatalf("mode %d rows [%d,%d): permutation encoding differs", mode, rg.RowLo, rg.RowHi)
+			}
+			if len(got) > bound {
+				t.Fatalf("mode %d rows [%d,%d): %d bytes over the %d-byte bound", mode, rg.RowLo, rg.RowHi, len(got), bound)
+			}
+		}
+	}
+}
+
+// A worker decodes a full shard straight into its CSF tree: the tree is
+// NewCSF of the shard's entries, duplicates included, and gives its rows
+// the bits the whole tensor's tree gives them. An index outside the
+// session dims is refused while decoding.
+func TestShardDecodesIntoCSFTree(t *testing.T) {
+	x := tensor.GenUniform(8, 300, 12, 9, 7)
+	for i := 0; i < 40; i++ { // duplicate coordinates with other values
+		e := x.Entries[i*5]
+		e.Val += 1
+		x.Entries = append(x.Entries, e)
+	}
+	x.InvalidateIndex()
+	const mode = 1
+	mo := []int{1, 0, 2}
+	factors := []*la.Dense{denseOf(12, 3, 0.1), denseOf(9, 3, 0.2), denseOf(7, 3, 0.3)}
+	whole := cpals.MTTKRPCSF(tensor.NewCSF(x, mo), factors)
+	mi := x.ModeIndex(mode)
+	for _, rg := range mi.Ranges(2) {
+		sh := &Shard{Mode: mode, Order: 3, RowLo: rg.RowLo, RowHi: rg.RowHi}
+		payload := appendShard(nil, sh, x.Entries, mi.Perm[rg.Lo:rg.Hi])
+		r, err := newShardReader(payload, x.Dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree := buildShardTree(r, x.Dims)
+		if err := r.finish(); err != nil {
+			t.Fatal(err)
+		}
+		sub := tensor.New(x.Dims...)
+		for _, e := range x.Entries {
+			if row := int(e.Idx[mode]); row >= rg.RowLo && row < rg.RowHi {
+				sub.Entries = append(sub.Entries, e)
+			}
+		}
+		if want := tensor.NewCSF(sub, mo); !reflect.DeepEqual(tree, want) {
+			t.Fatalf("rows [%d,%d): shard tree differs from NewCSF of its entries", rg.RowLo, rg.RowHi)
+		}
+		got := la.NewDense(rg.RowHi-rg.RowLo, 3)
+		cpals.MTTKRPCSFInto(got, rg.RowLo, tree, factors)
+		for i, v := range got.Data {
+			if w := whole.Data[rg.RowLo*3+i]; math.Float64bits(v) != math.Float64bits(w) {
+				t.Fatalf("rows [%d,%d): element %d %v != %v", rg.RowLo, rg.RowHi, i, v, w)
+			}
+		}
+	}
+
+	bad := []int{12, 9, 6} // mode 2 has 7 rows in the shard's tensor
+	payload := appendShard(nil, &Shard{Mode: mode, Order: 3, RowLo: 0, RowHi: 9}, x.Entries, mi.Perm)
+	r, err := newShardReader(payload, bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buildShardTree(r, bad)
+	err = r.finish()
+	var de *DecodeError
+	if err == nil || errors.As(err, &de) || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("want an out-of-range error that is not a *DecodeError, got %v", err)
+	}
 }

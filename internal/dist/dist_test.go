@@ -88,36 +88,50 @@ func TestDistBitwiseMatchesSerial(t *testing.T) {
 	}
 }
 
+// kernels are the two MTTKRP kernels a fleet runs. The recovery tests run
+// on both, each bitwise against the local backend of the same kernel: a
+// shard re-shipped to a substitute or rejoined worker must come back as
+// the same entries or the same CSF tree.
+var kernels = []struct {
+	name string
+	csf  bool
+}{{"coo", false}, {"csf", true}}
+
 // TestChaosKillSurvives injects a NodeCrash through the chaos plan: a real
 // worker connection is severed at a stage boundary mid-iteration, the
 // coordinator re-homes its ranges (re-shipping shards), and the result is
 // still bitwise identical to the serial run.
 func TestChaosKillSurvives(t *testing.T) {
 	x := plantedTensor()
-	opts := solveOpts()
-	want, err := cpals.Solve(x, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := StartInProcess(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	cfg := c.Config()
-	// Stage 2 is iteration 0's mode-1 MTTKRP (one stage per mode), so the
-	// kill lands mid-iteration with factors in flight.
-	cfg.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.NodeCrash, Node: 1, Stage: 2})
-	got, stats, err := Solve(x, opts, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameBits(t, "after chaos kill", want, got)
-	if stats.WorkerDeaths != 1 || stats.WorkersAlive != 2 {
-		t.Fatalf("want exactly one dead worker, got %+v", stats)
-	}
-	if stats.ShardResends == 0 {
-		t.Fatalf("dead worker's shards were never re-shipped: %+v", stats)
+	for _, k := range kernels {
+		t.Run(k.name, func(t *testing.T) {
+			opts := solveOpts()
+			opts.CSFKernel = k.csf
+			want, err := cpals.Solve(x, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := StartInProcess(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			cfg := c.Config()
+			// Stage 2 is iteration 0's mode-1 MTTKRP (one stage per mode),
+			// so the kill lands mid-iteration with factors in flight.
+			cfg.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.NodeCrash, Node: 1, Stage: 2})
+			got, stats, err := Solve(x, opts, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, "after chaos kill", want, got)
+			if stats.WorkerDeaths != 1 || stats.WorkersAlive != 2 {
+				t.Fatalf("want exactly one dead worker, got %+v", stats)
+			}
+			if stats.ShardResends == 0 {
+				t.Fatalf("dead worker's shards were never re-shipped: %+v", stats)
+			}
+		})
 	}
 }
 

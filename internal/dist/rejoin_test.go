@@ -20,36 +20,41 @@ func fastRetry() RetryPolicy {
 // final factors must still match the serial solver bit for bit.
 func TestPartitionRejoin(t *testing.T) {
 	x := plantedTensor()
-	opts := solveOpts()
-	// 36 iterations (108 MTTKRP stages) leave the partitioned worker time
-	// to rejoin inside the run.
-	opts.MaxIters = 36
-	want, err := cpals.Solve(x, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := StartInProcess(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	cfg := c.Config()
-	cfg.Retry = fastRetry()
-	// Stage 2: iteration 0's mode-1 MTTKRP.
-	cfg.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.NetPartition, Node: 1, Stage: 2})
-	got, stats, err := Solve(x, opts, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameBits(t, "after partition+rejoin", want, got)
-	if stats.WorkerDeaths != 1 {
-		t.Fatalf("want one detected death, got %+v", stats)
-	}
-	if stats.Rejoins < 1 {
-		t.Fatalf("partitioned worker never rejoined: %+v", stats)
-	}
-	if stats.WorkersAlive != 2 {
-		t.Fatalf("fleet not back to full strength: %+v", stats)
+	for _, k := range kernels {
+		t.Run(k.name, func(t *testing.T) {
+			opts := solveOpts()
+			opts.CSFKernel = k.csf
+			// 36 iterations (108 MTTKRP stages) leave the partitioned
+			// worker time to rejoin inside the run.
+			opts.MaxIters = 36
+			want, err := cpals.Solve(x, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := StartInProcess(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			cfg := c.Config()
+			cfg.Retry = fastRetry()
+			// Stage 2: iteration 0's mode-1 MTTKRP.
+			cfg.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.NetPartition, Node: 1, Stage: 2})
+			got, stats, err := Solve(x, opts, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, "after partition+rejoin", want, got)
+			if stats.WorkerDeaths != 1 {
+				t.Fatalf("want one detected death, got %+v", stats)
+			}
+			if stats.Rejoins < 1 {
+				t.Fatalf("partitioned worker never rejoined: %+v", stats)
+			}
+			if stats.WorkersAlive != 2 {
+				t.Fatalf("fleet not back to full strength: %+v", stats)
+			}
+		})
 	}
 }
 
@@ -60,28 +65,33 @@ func TestPartitionRejoin(t *testing.T) {
 // result stays bitwise identical — corruption may cost time, never bits.
 func TestCorruptFrameRecovery(t *testing.T) {
 	x := plantedTensor()
-	opts := solveOpts()
-	opts.MaxIters = 12
-	want, err := cpals.Solve(x, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := StartInProcess(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	cfg := c.Config()
-	cfg.Retry = fastRetry()
-	// Stage 1: iteration 0's mode-0 MTTKRP.
-	cfg.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.FrameCorrupt, Node: 0, Stage: 1})
-	got, stats, err := Solve(x, opts, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameBits(t, "after frame corruption", want, got)
-	if stats.WorkerDeaths != 1 {
-		t.Fatalf("corrupt frame should reset exactly one connection, got %+v", stats)
+	for _, k := range kernels {
+		t.Run(k.name, func(t *testing.T) {
+			opts := solveOpts()
+			opts.CSFKernel = k.csf
+			opts.MaxIters = 12
+			want, err := cpals.Solve(x, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := StartInProcess(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			cfg := c.Config()
+			cfg.Retry = fastRetry()
+			// Stage 1: iteration 0's mode-0 MTTKRP.
+			cfg.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.FrameCorrupt, Node: 0, Stage: 1})
+			got, stats, err := Solve(x, opts, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, "after frame corruption", want, got)
+			if stats.WorkerDeaths != 1 {
+				t.Fatalf("corrupt frame should reset exactly one connection, got %+v", stats)
+			}
+		})
 	}
 }
 

@@ -138,13 +138,10 @@ func (f *fleet) ship(r *remote, mode int, rg tensor.NNZRange, sampled bool) erro
 		src = f.sampled[mode]
 	}
 	mi := src.ModeIndex(mode)
-	lo, hi := mi.RowPtr[rg.RowLo], mi.RowPtr[rg.RowHi]
-	sh := &Shard{Mode: mode, Order: src.Order(), RowLo: rg.RowLo, RowHi: rg.RowHi, Sampled: sampled,
-		Entries: make([]tensor.Entry, 0, hi-lo)}
-	for p := lo; p < hi; p++ {
-		sh.Entries = append(sh.Entries, src.Entries[mi.Perm[p]])
-	}
-	payload := EncodeShard(sh)
+	perm := mi.Perm[mi.RowPtr[rg.RowLo]:mi.RowPtr[rg.RowHi]]
+	sh := &Shard{Mode: mode, Order: src.Order(), RowLo: rg.RowLo, RowHi: rg.RowHi, Sampled: sampled}
+	buf := make([]byte, 0, shardSizeBound(src.Dims, mode, rg.RowLo, rg.RowHi, len(perm)))
+	payload := appendShard(buf, sh, src.Entries, perm)
 	if err := f.s.enqueue(r, MsgShard, payload); err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -151,6 +152,13 @@ type request struct {
 	exkey   string
 	ctx     context.Context
 	out     chan result // buffered; executor never blocks sending
+	replied bool        // out has its answer (executor goroutine only)
+}
+
+// reply answers the request. Each request is answered once.
+func (r *request) reply(res result) {
+	r.replied = true
+	r.out <- res
 }
 
 // Server serves queries against an atomically swappable Model. Ranked
@@ -581,7 +589,29 @@ func (s *Server) drain() {
 // snapshot. Requests whose context already expired are skipped (their
 // caller has gone); invalid requests fail individually; the rest are
 // grouped by (kind, mode) so each group shares a single blocked scan.
+//
+// A panic while the batch executes — on this goroutine or, re-raised by
+// par.Run, on a scan worker — does not take the replica down: every
+// request of the batch not yet answered gets an error wrapping the
+// *par.WorkerPanic, and the executor goes on to the next batch.
 func (s *Server) exec(batch []*request) {
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
+		}
+		wp, ok := v.(*par.WorkerPanic)
+		if !ok {
+			wp = &par.WorkerPanic{Value: v, Stack: debug.Stack()}
+		}
+		s.logf("serve: batch of %d panicked: %v", len(batch), wp.Value)
+		err := fmt.Errorf("serve: batch execution failed: %w", wp)
+		for _, r := range batch {
+			if !r.replied {
+				r.reply(result{err: err})
+			}
+		}
+	}()
 	m := s.model.Load()
 	s.batches.Add(1)
 	s.batchedReqs.Add(uint64(len(batch)))
@@ -603,7 +633,7 @@ func (s *Server) exec(batch []*request) {
 			continue // caller already timed out; executing would be wasted work
 		}
 		if err := s.validate(m, r); err != nil {
-			r.out <- result{err: err}
+			r.reply(result{err: err})
 			continue
 		}
 		gk := groupKey{kind: r.kind, mode: r.mode, lo: r.lo, hi: r.hi}
@@ -620,7 +650,7 @@ func (s *Server) exec(batch []*request) {
 				s.approxScanned.Add(uint64(scanned))
 				s.approxExact.Add(uint64(m.Dims[r.mode]))
 				s.cache.put(r.cacheKey(m.Version), res)
-				r.out <- result{scored: res}
+				r.reply(result{scored: res})
 			}
 			continue
 		}
@@ -657,7 +687,7 @@ func (s *Server) exec(batch []*request) {
 		res := topKBatch(m.factors[gk.mode], qs, ks, divisors, excl, exSets, s.cfg.Workers, lo, hi)
 		for i, r := range rs {
 			s.cache.put(r.cacheKey(m.Version), res[i])
-			r.out <- result{scored: res[i]}
+			r.reply(result{scored: res[i]})
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"cstf/internal/ckpt"
 	"cstf/internal/la"
+	"cstf/internal/par"
 	"cstf/internal/rng"
 )
 
@@ -443,5 +444,52 @@ func TestReloadFallsBackToRetainedVersion(t *testing.T) {
 	}
 	if s.Stats().ReloadErrors != 1 {
 		t.Fatalf("exhausted fallback not counted as error: %+v", s.Stats())
+	}
+}
+
+// A batch that panics while it executes answers each of its callers with
+// an error wrapping *par.WorkerPanic, whether the panic was raised on the
+// executor goroutine or on a scan worker, and the replica keeps serving.
+func TestBatchPanicReachesCallers(t *testing.T) {
+	s, m := testServer(t, Config{MaxBatch: 8, MaxWait: 50 * time.Millisecond, CacheSize: -1, Workers: 2})
+	// A model whose mode-0 factor is cut short: scanning mode 0 and
+	// conditioning on a mode-0 row both index past its end.
+	bad := *m
+	bad.factors = append([]*la.Dense(nil), m.factors...)
+	bad.factors[0] = la.NewDense(1, m.Rank)
+	s.Swap(&bad)
+
+	errs := make([]error, 6)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				_, errs[i] = s.TopK(context.Background(), 0, 1, 3, 5)
+			} else {
+				_, errs[i] = s.TopK(context.Background(), 1, 0, 7, 5)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		var wp *par.WorkerPanic
+		if !errors.As(err, &wp) {
+			t.Fatalf("request %d: want an error wrapping *par.WorkerPanic, got %v", i, err)
+		}
+	}
+
+	s.Swap(m)
+	got, err := s.TopK(context.Background(), 0, 1, 3, 5)
+	if err != nil {
+		t.Fatalf("after the panicking batch: %v", err)
+	}
+	want, err := m.TopKGiven(0, 1, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || got[0] != want[0] {
+		t.Fatalf("after the panicking batch: got %v, want %v", got, want)
 	}
 }

@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -106,16 +108,26 @@ func TestCSFValidation(t *testing.T) {
 			NewCSF(x, bad)
 		}()
 	}
-	// Duplicates must be rejected.
+}
+
+// Duplicate coordinates stay separate leaves of one fiber, in storage
+// order, so a tree sums them exactly as the COO entries list them.
+func TestCSFKeepsDuplicatesInStorageOrder(t *testing.T) {
 	dup := New(3, 3, 3)
 	dup.Append(1, 1, 1, 1)
+	dup.Append(5, 1, 0, 2)
 	dup.Append(2, 1, 1, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate coordinates must panic")
-		}
-	}()
-	NewCSF(dup, []int{0, 1, 2})
+	dup.Append(3, 1, 1, 1)
+	c := NewCSF(dup, []int{0, 1, 2})
+	if f := c.Fibers(); f[0] != 1 || f[1] != 2 || f[2] != 4 {
+		t.Fatalf("fibers %v, want [1 2 4]", f)
+	}
+	if want := []uint32{2, 1, 1, 1}; !slices.Equal(c.Idx[2], want) {
+		t.Fatalf("leaf indices %v, want %v", c.Idx[2], want)
+	}
+	if want := []float64{5, 1, 2, 3}; !slices.Equal(c.Vals, want) {
+		t.Fatalf("leaf values %v, want %v", c.Vals, want)
+	}
 }
 
 func TestCSFEmpty(t *testing.T) {
@@ -144,5 +156,40 @@ func TestCSFFiberCompression(t *testing.T) {
 	}
 	if fibers[2] != x.NNZ() {
 		t.Fatalf("leaves %d != nnz %d", fibers[2], x.NNZ())
+	}
+}
+
+// Coordinates too wide to pack into one sort key take the comparison
+// sort; both orderings build the same tree.
+func TestCSFBuilderUnpackedSortMatchesPacked(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		x := GenUniform(seed, 400, 6, 5, 4, 7)
+		for i := 0; i < 50; i++ {
+			e := x.Entries[i*3]
+			e.Val++
+			x.Entries = append(x.Entries, e)
+		}
+		x.InvalidateIndex()
+		mo := []int{2, 0, 3, 1}
+		want := NewCSF(x, mo)
+
+		b := NewCSFBuilder(x.Dims, mo, x.NNZ())
+		b.bits = 65 // as if the levels below the root needed 65 bits
+		mi := x.ModeIndex(mo[0])
+		for r := 0; r < x.Dims[mo[0]]; r++ {
+			var idx []uint32
+			var vals []float64
+			for _, p := range mi.Perm[mi.RowPtr[r]:mi.RowPtr[r+1]] {
+				e := &x.Entries[p]
+				for _, m := range mo[1:] {
+					idx = append(idx, e.Idx[m])
+				}
+				vals = append(vals, e.Val)
+			}
+			b.AddRoot(uint32(r), idx, vals)
+		}
+		if got := b.CSF(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: comparison-sorted tree differs from the packed-key one", seed)
+		}
 	}
 }

@@ -120,18 +120,3 @@ func TestNCPChaosRejected(t *testing.T) {
 		t.Fatal("ncp + chaos did not fail")
 	}
 }
-
-// Only the dist algorithm has a CSF kernel: ncp and rals on a fleet refuse
-// Dist.CSFKernel instead of silently running COO.
-func TestFleetCSFKernelNeedsDist(t *testing.T) {
-	for _, alg := range []cstf.Algorithm{cstf.NCP, cstf.RALS} {
-		_, err := cstf.Decompose(apiTestTensor(), cstf.Options{
-			Algorithm: alg, Rank: 2, MaxIters: 2,
-			RALS: cstf.RALSOptions{SampleFraction: 0.5},
-			Dist: cstf.DistOptions{LocalWorkers: 2, CSFKernel: true},
-		})
-		if err == nil {
-			t.Fatalf("%s + Dist.CSFKernel did not fail", alg)
-		}
-	}
-}
