@@ -122,8 +122,9 @@ func (k TaskKind) String() string {
 
 // Hello flag bits (Hello.Flags).
 const (
-	// HelloUseCSF asks the worker to run PartialMTTKRP with the SPLATT
-	// CSF kernel on its shards instead of the per-nonzero COO loop.
+	// HelloUseCSF asks the worker to keep its full shards as CSF trees
+	// and run PartialMTTKRP on them with the SPLATT kernel instead of the
+	// per-nonzero COO loop. Sampled shards stay COO.
 	HelloUseCSF uint8 = 1 << 0
 )
 

@@ -687,17 +687,24 @@ func (s *Session) InitComms(ranges [][]tensor.NNZRange) {
 		}
 		r.prev = make([]*la.Dense, order)
 	}
-	for mm := 0; mm < order; mm++ {
-		mi := s.t.ModeIndex(mm)
-		for k := range ranges[mm] {
-			rg := ranges[mm][k]
-			r := s.remotes[k]
-			for p := rg.Lo; p < rg.Hi; p++ {
-				e := &s.t.Entries[mi.Perm[p]]
-				for m := 0; m < order; m++ {
-					if m != mm {
-						r.touched[m].set(int(e.Idx[m]))
-					}
+	// owner[mm][row] is the slot whose mode-mm range holds row, so one
+	// pass over the entries in storage order marks every set.
+	owner := make([][]*remote, order)
+	for mm := range owner {
+		owner[mm] = make([]*remote, s.t.Dims[mm])
+		for k, rg := range ranges[mm] {
+			for row := rg.RowLo; row < rg.RowHi; row++ {
+				owner[mm][row] = s.remotes[k]
+			}
+		}
+	}
+	for i := range s.t.Entries {
+		e := &s.t.Entries[i]
+		for mm := 0; mm < order; mm++ {
+			r := owner[mm][e.Idx[mm]]
+			for m := 0; m < order; m++ {
+				if m != mm {
+					r.touched[m].set(int(e.Idx[m]))
 				}
 			}
 		}
